@@ -27,9 +27,25 @@
 //! an exponentially-weighted average `strg ← (1−β)·strg + β·rate(r)` with
 //! `β = 0.2` — so the estimate can also recover when stragglers disappear;
 //! with persistent stragglers both formulas converge to the true rate.
+//!
+//! ## Data structures and cost
+//!
+//! Each cluster keeps Algorithm 1's party heap: a min-heap of its
+//! members keyed `(p.picks, p)` — the least-picked member first, ties to
+//! the lowest id. A pick pops its
+//! party; overprovisioning pops straggler members aside until it reaches
+//! an eligible one and pushes them back; every chosen party re-enters its
+//! heap under its new pick count when [`select`](ParticipantSelector::select)
+//! returns, so between rounds each party sits in its cluster's heap
+//! exactly once. The cluster step scans the `k` cluster pick counters,
+//! skipping clusters whose heap is empty. A round of `Nr` picks over `N`
+//! parties in `k` clusters therefore costs `O(Nr·(k + log(N/k)))`.
+//! Checkpoint restore replays `select` once per closed round, so it
+//! pays that cost once per round of the job's history.
 
 use crate::types::{validate_request, ParticipantSelector, PartyId, RoundFeedback, SelectionError};
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Smoothing weight of the straggler-rate EWMA (see the fidelity note).
 const STRAGGLER_EWMA_BETA: f64 = 0.2;
@@ -39,6 +55,9 @@ const STRAGGLER_EWMA_BETA: f64 = 0.2;
 pub struct FlipsSelector {
     /// Cluster id → member parties.
     clusters: Vec<Vec<PartyId>>,
+    /// Cluster id → min-heap of the members not chosen in the current
+    /// round, keyed `(p.picks, p)` (the party heap of Algorithm 1).
+    party_heaps: Vec<BinaryHeap<Reverse<(u64, PartyId)>>>,
     /// Party → cluster id.
     party_cluster: Vec<usize>,
     /// `p.picks` — how often each party has been selected.
@@ -93,8 +112,13 @@ impl FlipsSelector {
             }
         }
         let num_clusters = clusters.len();
+        let party_heaps = clusters
+            .iter()
+            .map(|members| members.iter().map(|&p| Reverse((0, p))).collect())
+            .collect();
         Ok(FlipsSelector {
             clusters,
+            party_heaps,
             party_cluster,
             party_picks: vec![0; num_parties],
             cluster_picks: vec![0; num_clusters],
@@ -132,30 +156,31 @@ impl FlipsSelector {
     /// EXTRACT-MIN over the cluster heap: the least-picked cluster that
     /// still has a selectable member (ties → lowest id, matching a stable
     /// binary heap seeded in id order).
-    fn next_cluster(&self, chosen: &HashSet<PartyId>, exclude: &HashSet<PartyId>) -> Option<usize> {
+    fn next_cluster(&self) -> Option<usize> {
         self.cluster_picks
             .iter()
             .enumerate()
-            .filter(|&(c, _)| {
-                self.clusters[c].iter().any(|p| !chosen.contains(p) && !exclude.contains(p))
-            })
+            .filter(|&(c, _)| !self.party_heaps[c].is_empty())
             .min_by_key(|&(c, &picks)| (picks, c))
             .map(|(c, _)| c)
     }
 
-    /// EXTRACT-MIN over a cluster's party heap: the least-picked member
-    /// not yet chosen and not excluded.
-    fn next_party(
-        &self,
-        cluster: usize,
-        chosen: &HashSet<PartyId>,
-        exclude: &HashSet<PartyId>,
-    ) -> Option<PartyId> {
-        self.clusters[cluster]
-            .iter()
-            .copied()
-            .filter(|p| !chosen.contains(p) && !exclude.contains(p))
-            .min_by_key(|&p| (self.party_picks[p], p))
+    /// EXTRACT-MIN over a cluster's party heap, skipping stragglers: the
+    /// least-picked member not yet chosen this round and not in `H_s`.
+    /// Skipped stragglers go back into the heap under their unchanged keys.
+    fn pop_non_straggler(&mut self, cluster: usize) -> Option<PartyId> {
+        let heap = &mut self.party_heaps[cluster];
+        let mut stash = Vec::new();
+        let mut found = None;
+        while let Some(entry @ Reverse((_, party))) = heap.pop() {
+            if !self.straggler_parties.contains(&party) {
+                found = Some(party);
+                break;
+            }
+            stash.push(entry);
+        }
+        heap.extend(stash);
+        found
     }
 
     fn commit_pick(&mut self, party: PartyId) {
@@ -172,19 +197,14 @@ impl ParticipantSelector for FlipsSelector {
     fn select(&mut self, _round: usize, target: usize) -> Result<Vec<PartyId>, SelectionError> {
         validate_request(target, self.num_parties)?;
         let mut selected = Vec::with_capacity(target);
-        let mut chosen: HashSet<PartyId> = HashSet::with_capacity(target * 2);
-        let no_exclusion = HashSet::new();
 
         // Lines 22–26: fill the round cluster-by-cluster, fairest first.
         while selected.len() < target {
-            let cluster = self
-                .next_cluster(&chosen, &no_exclusion)
-                .expect("target <= num_parties guarantees a selectable party");
-            let party = self
-                .next_party(cluster, &chosen, &no_exclusion)
-                .expect("next_cluster only returns clusters with candidates");
+            let cluster =
+                self.next_cluster().expect("target <= num_parties guarantees a selectable party");
+            let Reverse((_, party)) =
+                self.party_heaps[cluster].pop().expect("next_cluster skips empty heaps");
             self.commit_pick(party);
-            chosen.insert(party);
             selected.push(party);
         }
 
@@ -199,7 +219,7 @@ impl ParticipantSelector for FlipsSelector {
                     .iter()
                     .enumerate()
                     .filter(|&(_, &n)| n > 0)
-                    .max_by_key(|&(c, &n)| (n, std::cmp::Reverse(c)))
+                    .max_by_key(|&(c, &n)| (n, Reverse(c)))
                 else {
                     break;
                 };
@@ -208,15 +228,18 @@ impl ParticipantSelector for FlipsSelector {
                 // cluster. If it has no eligible member left, this slot is
                 // skipped — representation cannot be restored from
                 // elsewhere without changing the label mix.
-                let Some(party) = self.next_party(cluster, &chosen, &self.straggler_parties) else {
+                let Some(party) = self.pop_non_straggler(cluster) else {
                     continue;
                 };
                 self.commit_pick(party);
-                chosen.insert(party);
                 selected.push(party);
             }
         }
 
+        // The round's picks re-enter their heaps under their new counts.
+        for &p in &selected {
+            self.party_heaps[self.party_cluster[p]].push(Reverse((self.party_picks[p], p)));
+        }
         Ok(selected)
     }
 
@@ -266,6 +289,38 @@ mod tests {
 
     fn cluster_of(p: PartyId) -> usize {
         p / 5
+    }
+
+    /// Between rounds every party sits exactly once in its own cluster's
+    /// heap, keyed by its current pick count.
+    fn assert_heap_invariant(s: &FlipsSelector) {
+        for (c, members) in s.clusters.iter().enumerate() {
+            let mut held: Vec<(u64, PartyId)> = s.party_heaps[c].iter().map(|e| e.0).collect();
+            let mut expected: Vec<(u64, PartyId)> =
+                members.iter().map(|&p| (s.party_picks[p], p)).collect();
+            held.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(held, expected, "cluster {c} heap out of step with the pick counts");
+        }
+    }
+
+    /// Clusters `{0..4}`, `{4..8}` and `{8, 9, 10}`. Round 0 picks nine
+    /// parties — three per cluster, all of the last one — and reports
+    /// `stragglers` absent.
+    fn after_round_zero(stragglers: Vec<PartyId>) -> FlipsSelector {
+        let clusters = vec![(0..4).collect(), (4..8).collect(), (8..11).collect()];
+        let mut s = FlipsSelector::new(clusters).unwrap();
+        let selected = s.select(0, 9).unwrap();
+        assert_heap_invariant(&s);
+        let completed = selected.iter().copied().filter(|p| !stragglers.contains(p)).collect();
+        s.report(&RoundFeedback {
+            round: 0,
+            selected,
+            completed,
+            stragglers,
+            ..Default::default()
+        });
+        s
     }
 
     #[test]
@@ -452,5 +507,26 @@ mod tests {
         // Clusters are visited equally: 4 rounds × 3 = 12 visits, 4 per
         // cluster ⇒ parties 10 and 11 each picked 4 times.
         assert_eq!(tiny_picks, 8, "tiny clusters must be visited every round");
+    }
+
+    #[test]
+    fn overprovisioning_sets_straggler_members_aside_and_restores_them() {
+        // 8 and 9 straggle (rate 2/9). Round 1's fill takes 8, the fill
+        // ignoring H_s; its one extra slot pops straggler 9 before
+        // reaching 10, then puts 9 back.
+        let mut s = after_round_zero(vec![8, 9]);
+        assert_eq!(s.select(1, 5).unwrap(), vec![3, 7, 8, 0, 4, 10]);
+        assert_heap_invariant(&s);
+        assert_eq!(s.party_heaps[2].peek(), Some(&Reverse((1, 9))));
+    }
+
+    #[test]
+    fn extra_slot_without_eligible_member_is_skipped() {
+        // All of the last cluster straggles: after the fill takes 8, the
+        // extra slot finds only stragglers, is skipped, and every popped
+        // straggler goes back.
+        let mut s = after_round_zero(vec![8, 9, 10]);
+        assert_eq!(s.select(1, 5).unwrap(), vec![3, 7, 8, 0, 4]);
+        assert_heap_invariant(&s);
     }
 }
